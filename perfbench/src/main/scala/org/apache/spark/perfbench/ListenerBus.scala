@@ -1,0 +1,10 @@
+package org.apache.spark.perfbench
+
+import org.apache.spark.SparkContext
+
+/** Access to Spark's listener bus, which Spark keeps package-private. */
+object ListenerBus {
+
+  /** Blocks until every posted event has reached the registered listeners. */
+  def drain(sc: SparkContext): Unit = sc.listenerBus.waitUntilEmpty(60000L)
+}
