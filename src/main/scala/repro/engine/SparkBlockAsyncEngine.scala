@@ -4,17 +4,6 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.graph.DiGraph
 import repro.order.VertexOrder
 
-/** One contiguous ordinal block: vertices in processing order with their
-  * in-adjacency in CSR form (`off`/`adj`/`wgt` aligned with `vids`).
-  */
-final case class Block(
-    bid: Int,
-    vids: Array[Int],
-    off: Array[Int],
-    adj: Array[Int],
-    wgt: Array[Double],
-)
-
 /** Distributed adaptation of the paper's asynchronous mode (Eq. 2).
   *
   * The processing order is cut into `numBlocks` contiguous ordinal ranges,
@@ -45,25 +34,7 @@ object SparkBlockAsyncEngine {
     val bs = (0 until nb).map { b =>
       val lo = (b.toLong * n / nb).toInt
       val hi = ((b + 1).toLong * n / nb).toInt
-      val vids = java.util.Arrays.copyOfRange(order.order, lo, hi)
-      val off  = new Array[Int](vids.length + 1)
-      var i = 0
-      while (i < vids.length) { off(i + 1) = off(i) + g.inDegree(vids(i)); i += 1 }
-      val adj = new Array[Int](off(vids.length))
-      val wgt = new Array[Double](off(vids.length))
-      i = 0
-      while (i < vids.length) {
-        val v   = vids(i)
-        val inN = g.inNeighbors(v)
-        var j = 0
-        while (j < inN.length) {
-          adj(off(i) + j) = inN(j)
-          wgt(off(i) + j) = g.inWeight(v, j)
-          j += 1
-        }
-        i += 1
-      }
-      Block(b, vids, off, adj, wgt)
+      Block.of(b, g, java.util.Arrays.copyOfRange(order.order, lo, hi))
     }
     (spark.createDataset(bs).repartition(nb).cache(), g)
   }
@@ -72,66 +43,35 @@ object SparkBlockAsyncEngine {
   def run(spark: SparkSession, g0: DiGraph, prog: VertexProgram, order: VertexOrder,
           source: Int = -1, numBlocks: Int = 16, maxRounds: Int = 100000): RunResult = {
     val (ds, g) = blocks(spark, g0, prog, order, numBlocks)
-    try runOnBlocks(spark, ds, g, prog, order, source, maxRounds)
-    finally ds.unpersist()
-  }
-
-  private[engine] def runOnBlocks(spark: SparkSession, ds: Dataset[Block], g: DiGraph,
-                                  prog: VertexProgram, order: VertexOrder,
-                                  source: Int, maxRounds: Int): RunResult = {
-    import spark.implicits._
-    val n      = g.numVertices
-    val outDeg = Array.tabulate(n)(g.outDegree)
-    val bcDeg  = spark.sparkContext.broadcast(outDeg)
-    var x      = Array.tabulate(n)(v => prog.init(v, source))
-    var rounds = 0
+    val bcDeg   = spark.sparkContext.broadcast(Array.tabulate(g.numVertices)(g.outDegree))
+    var x       = Array.tabulate(g.numVertices)(v => prog.init(v, source))
+    var rounds  = 0
     var converged = false
-    while (!converged && rounds < maxRounds) {
-      val bcX = spark.sparkContext.broadcast(x)
-      val swept: Array[(Array[Int], Array[Double], Double)] = ds
-        .map { blk =>
-          val prev  = bcX.value
-          val degs  = bcDeg.value
-          // local copy: in-block vertices read updated values once processed
-          val local = new java.util.HashMap[Int, java.lang.Double]()
-          var maxDelta = 0.0
-          val out = new Array[Double](blk.vids.length)
-          var i = 0
-          while (i < blk.vids.length) {
-            val v   = blk.vids(i)
-            var acc = prog.identity
-            var j = blk.off(i)
-            while (j < blk.off(i + 1)) {
-              val u  = blk.adj(j)
-              val lu = local.get(u)
-              val xu = if (lu ne null) lu.doubleValue() else prev(u)
-              acc = prog.gather(acc, xu, blk.wgt(j), degs(u))
-              j += 1
-            }
-            val old = { val lv = local.get(v); if (lv ne null) lv.doubleValue() else prev(v) }
-            val nx  = prog.apply(v, old, acc, source)
-            val d   = { val dd = math.abs(nx - old); if (dd.isNaN) 0.0 else dd }
-            if (d > maxDelta) maxDelta = d
-            local.put(v, nx)
-            out(i) = nx
-            i += 1
+    try {
+      while (!converged && rounds < maxRounds) {
+        val bcX = spark.sparkContext.broadcast(x)
+        // ds.rdd is planned once; ds.map would be re-planned every superstep
+        val swept = ds.rdd
+          .map { blk =>
+            // in-block vertices read states already updated this sweep
+            val local    = bcX.value.clone()
+            val maxDelta = blk.sweep(prog, source, bcDeg.value, local, local)
+            (blk.vids, blk.vids.map(local(_)), maxDelta)
           }
-          (blk.vids, out, maxDelta)
+          .collect()
+        bcX.destroy()
+        val next = x.clone()
+        var maxDelta = 0.0
+        swept.foreach { case (vids, vals, d) =>
+          if (d > maxDelta) maxDelta = d
+          var i = 0
+          while (i < vids.length) { next(vids(i)) = vals(i); i += 1 }
         }
-        .collect()
-      bcX.destroy()
-      val next = x.clone()
-      var maxDelta = 0.0
-      swept.foreach { case (vids, vals, d) =>
-        if (d > maxDelta) maxDelta = d
-        var i = 0
-        while (i < vids.length) { next(vids(i)) = vals(i); i += 1 }
+        x = next
+        rounds += 1
+        converged = maxDelta <= prog.tol
       }
-      x = next
-      rounds += 1
-      converged = maxDelta <= prog.tol
-    }
-    bcDeg.destroy()
+    } finally { ds.unpersist(); bcDeg.destroy() }
     RunResult(x, rounds, converged)
   }
 }

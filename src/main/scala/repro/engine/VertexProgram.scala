@@ -1,7 +1,7 @@
 package repro.engine
 
 /** A monotonic vertex update function F(·) (paper §II–III) in gather/apply
-  * form, shared by all engines (sequential, Spark sync, Spark block-async).
+  * form, shared by both engines (sequential and Spark block-async).
   *
   * One vertex update is `apply(v, old, fold(gather over in-edges), source)`
   * where the fold starts at [[identity]]. Engines decide *which* neighbor
@@ -39,7 +39,7 @@ trait VertexProgram extends Serializable {
   */
 class PageRank(d: Double = 0.85, val tol: Double = 1e-6) extends VertexProgram {
   val name                          = "PageRank"
-  /** Damping factor, exposed for the SQL translation in SparkSyncEngine. */
+  /** Damping factor d, public so callers can bound the error left at `tol`. */
   val damping: Double               = d
   val sourced                       = false
   def init(v: Int, s: Int): Double  = 0.0
@@ -88,7 +88,7 @@ object CC extends VertexProgram {
   */
 class PHP(c: Double = 0.85, val tol: Double = 1e-6) extends VertexProgram {
   val name                          = "PHP"
-  /** Penalty factor, exposed for the SQL translation in SparkSyncEngine. */
+  /** Penalty factor c, public so callers can bound the error left at `tol`. */
   val penalty: Double               = c
   val sourced                       = true
   def init(v: Int, s: Int): Double  = if (v == s) 1.0 else 0.0

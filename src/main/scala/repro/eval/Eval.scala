@@ -38,6 +38,14 @@ object Eval {
   def defaultSource(g: DiGraph): Int =
     (0 until g.numVertices).maxBy(v => (g.outDegree(v), -v))
 
+  /** A table cell must come from a converged run: a run capped by
+    * `maxRounds` fails here instead of printing its round count.
+    */
+  private def converged(res: RunResult, what: => String): RunResult = {
+    require(res.converged, s"$what did not converge in ${res.rounds} rounds")
+    res
+  }
+
   // ------------------------------------------------------------------
   // Table I — datasets
   // ------------------------------------------------------------------
@@ -80,7 +88,7 @@ object Eval {
       val o = r.order(g)
       val rounds = algos.map { prog =>
         val src = if (prog.sourced) source else -1
-        prog.name -> SeqEngine.async(g, prog, o, src).rounds
+        prog.name -> converged(SeqEngine.async(g, prog, o, src), s"${prog.name} in ${r.name} order").rounds
       }.toMap
       TableIIRow(r.name, Metric.positiveEdges(g, o), Metric.ratio(g, o), rounds)
     }
@@ -110,15 +118,19 @@ object Eval {
   private def relabeled(g: DiGraph, o: repro.order.VertexOrder, source: Int): (DiGraph, Int) =
     (g.relabel(o.pos), if (source >= 0) o.pos(source) else -1)
 
-  /** Time one async run on the relabeled graph (identity processing order);
-    * one untimed warmup run absorbs JIT and cold-cache noise.
-    */
+  /** Time one run; one untimed warmup run absorbs JIT and cold-cache noise. */
+  private def timed(what: => String)(run: => RunResult): PerfCell = {
+    run // warmup
+    val t0  = System.nanoTime()
+    val res = run
+    val ms  = (System.nanoTime() - t0) / 1e6
+    PerfCell(ms, converged(res, what).rounds)
+  }
+
+  /** Time one async run on the relabeled graph (identity processing order). */
   private def timedAsync(g: DiGraph, prog: VertexProgram, src: Int): PerfCell = {
     val idOrder = repro.order.VertexOrder.identity(g.numVertices)
-    SeqEngine.async(g, prog, idOrder, src) // warmup
-    val t0  = System.nanoTime()
-    val res = SeqEngine.async(g, prog, idOrder, src)
-    PerfCell((System.nanoTime() - t0) / 1e6, res.rounds)
+    timed(s"async ${prog.name}")(SeqEngine.async(g, prog, idOrder, src))
   }
 
   def overallPerf(datasets: Seq[String], load: String => DiGraph,
@@ -169,12 +181,8 @@ object Eval {
       val (gGo, srcGo) = relabeled(g, GoGraph.order(g), source)
       algos.map { prog =>
         val src = if (prog.sourced) source else -1
-        SeqEngine.sync(g, prog, src) // warmup
-        val t0   = System.nanoTime()
-        val sRes = SeqEngine.sync(g, prog, src)
-        val sCell = PerfCell((System.nanoTime() - t0) / 1e6, sRes.rounds)
         AsyncImpactRow(name, prog.name,
-          sCell,
+          timed(s"sync ${prog.name} on $name")(SeqEngine.sync(g, prog, src)),
           timedAsync(g, prog, src), // default order = identity layout
           timedAsync(gGo, prog, if (prog.sourced) srcGo else -1))
       }

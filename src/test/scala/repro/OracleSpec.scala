@@ -63,6 +63,24 @@ class OracleSpec extends SparkSpec {
       "a" -> a, "b" -> b)
   }
 
+  test("handles a grouped count over a join") {
+    val o = Seq((1L, 10L), (2L, 10L), (3L, 20L), (4L, 30L)).toDF("o_id", "o_cust")
+    val c = Seq((10L, "AUTO"), (20L, "AUTO"), (30L, "BUILD")).toDF("c_id", "c_seg")
+    val q = o.join(c, o("o_cust") === c("c_id")).groupBy("c_seg").agg(count(lit(1)).as("cnt"))
+    Oracle.assertEquivalent(
+      q,
+      "SELECT c_seg, count(*) AS cnt FROM o JOIN c ON o.o_cust = c.c_id GROUP BY c_seg",
+      "o" -> o, "c" -> c)
+  }
+
+  test("handles group-by aggregates") {
+    val df = Seq(("a", 1.0), ("b", 2.0), ("a", 3.5)).toDF("k", "x")
+    Oracle.assertEquivalent(
+      df.groupBy("k").agg(count(lit(1)).as("cnt"), sum("x").as("total")),
+      "SELECT k, count(*) AS cnt, sum(CAST(x AS DOUBLE)) AS total FROM t GROUP BY k",
+      "t" -> df)
+  }
+
   test("null values round-trip") {
     val df = Seq((1L, Some("a")), (2L, None)).toDF("k", "v")
     Oracle.assertEquivalent(df, "SELECT k, v FROM t", "t" -> df)

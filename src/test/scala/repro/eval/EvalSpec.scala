@@ -2,7 +2,8 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.engine.{PageRank, SSSP}
-import repro.graph.GraphGen
+import repro.graph.{DiGraph, GraphGen}
+import repro.order.DefaultOrder
 
 /** Exercises the table-reproduction harness at unit-test scale; the bench
   * suites run the same code on the full analogues.
@@ -40,6 +41,14 @@ class EvalSpec extends AnyFunSuite {
     Eval.algorithms.foreach { a =>
       assert(go.rounds(a.name) <= df.rounds(a.name),
         s"${a.name}: GoGraph ${go.rounds(a.name)} rounds vs Default ${df.rounds(a.name)}")
+    }
+  }
+
+  test("tableII fails loudly on a run that hits maxRounds") {
+    val g     = DiGraph.unweighted(3, Seq((0, 1), (1, 2)))
+    val never = new PageRank(tol = -1.0)
+    intercept[IllegalArgumentException] {
+      Eval.tableII(g, methods = Seq(DefaultOrder), algos = Seq(never))
     }
   }
 
