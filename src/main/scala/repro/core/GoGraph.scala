@@ -66,15 +66,28 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
     val labels = if (rest.isEmpty) Array.empty[Int] else cfg.partitioner.partition(gPrime, k)
     val numSub = if (rest.isEmpty) 0 else labels.max + 1
 
-    // ---- Conquer: order vertices within each subgraph ----
-    val subOrders = Array.fill(numSub)(Array.empty[Int]) // local ids, in order
-    (0 until numSub).foreach { s =>
-      val members = (0 until rest.length).filter(labels(_) == s)
-      subOrders(s) = orderWithin(gPrime, members, labels, s)
+    // bucket G' by label in one pass; ids within a subgraph rise with G' ids,
+    // which keeps ValInserter's (val, id) tie-break
+    val members = Array.fill(numSub)(mutable.ArrayBuffer.empty[Int])
+    val idInSub = new Array[Int](rest.length)
+    labels.indices.foreach { v => idInSub(v) = members(labels(v)).length; members(labels(v)) += v }
+    // unit-weight edges inside each subgraph; edge counts w(si -> sj) between them
+    val subEdges = Array.fill(numSub)(mutable.ArrayBuffer.empty[(Int, Int, Double)])
+    val w        = mutable.HashMap.empty[(Int, Int), Double]
+    gPrime.foreachEdge { (u, v, _) =>
+      val (su, sv) = (labels(u), labels(v))
+      if (su == sv) subEdges(su) += ((idInSub(u), idInSub(v), 1.0))
+      else w.update((su, sv), w.getOrElse((su, sv), 0.0) + 1.0)
+    }
+
+    // ---- Conquer: order vertices within each subgraph (G' ids, in order) ----
+    val subOrders = Array.tabulate(numSub) { s =>
+      greedyOrder(DiGraph.fromEdges(members(s).length, subEdges(s).toSeq)).map(members(s))
     }
 
     // ---- Combine: order subgraphs as weighted super-vertices ----
-    val superOrder = orderSupers(gPrime, labels, numSub)
+    val superOrder =
+      greedyOrder(DiGraph.fromEdges(numSub, w.toSeq.map { case ((si, sj), c) => (si, sj, c) }))
 
     // splice: subgraph orders concatenated in super-vertex order
     // (Algorithm 1 lines 21–29: adding the previous subgraph's max val is
@@ -82,89 +95,54 @@ class GoGraphReorder(cfg: GoGraphConfig = GoGraphConfig()) extends Reorder {
     val ins = new ValInserter(n)
     superOrder.foreach(s => ins.seed(subOrders(s).iterator.map(rest(_))))
 
-    // ---- Insert high-degree, then isolated vertices (lines 30–35) ----
-    val hdVerts = byDeg.filter(isHd(_)) // descending degree
-    hdVerts.foreach(v => insertGlobal(g, ins, v))
-    val isoVerts = (0 until n).filter(isIso(_))
-    isoVerts.foreach(v => insertGlobal(g, ins, v))
+    // ---- Insert high-degree (descending degree), then isolated vertices
+    // (lines 30–35), each by its placed neighbors in g at unit weight ----
+    (byDeg.filter(isHd(_)) ++ (0 until n).filter(isIso(_)))
+      .foreach(v => insertByPlaced(g, ins, v, unit = true))
 
     VertexOrder.fromOrder(ins.result())
   }
 
-  /** Insert `v` into the global order using its placed neighbors in `g`. */
-  private def insertGlobal(g: DiGraph, ins: ValInserter, v: Int): Unit = {
-    val inN  = g.inNeighbors(v).filter(u => u != v && ins.placed(u)).map(u => (u, 1.0))
-    val outN = g.outNeighbors(v).filter(u => u != v && ins.placed(u)).map(u => (u, 1.0))
-    ins.insert(v, inN, outN)
-  }
-
-  /** Order the members of subgraph `s` of `gPrime`: BFS candidate stream
-    * from the minimum-in-degree seed, greedy optimal-position insertion.
-    * Returns local ids in processing order.
+  /** Insert `v` by its placed in- and out-neighbors in `h`, one entry per
+    * edge, weighted by the edge's weight (or by 1 when `unit`).
     */
-  private def orderWithin(gPrime: DiGraph, members: Seq[Int], labels: Array[Int], s: Int): Array[Int] = {
-    if (members.isEmpty) return Array.empty
-    val ins     = new ValInserter(gPrime.numVertices)
-    val visited = mutable.HashSet.empty[Int]
-    val queue   = mutable.Queue.empty[Int]
-    def inDegWithin(v: Int): Int = gPrime.inNeighbors(v).count(labels(_) == s)
-    val seeds = members.sortBy(v => (inDegWithin(v), v))
-
-    seeds.foreach { seed =>
-      if (!visited.contains(seed)) {
-        visited += seed; queue.enqueue(seed)
-        while (queue.nonEmpty) {
-          val v = queue.dequeue()
-          val inN = gPrime.inNeighbors(v)
-            .filter(u => labels(u) == s && ins.placed(u)).map(u => (u, 1.0))
-          val outN = gPrime.outNeighbors(v)
-            .filter(u => labels(u) == s && ins.placed(u)).map(u => (u, 1.0))
-          ins.insert(v, inN, outN)
-          val visit = (u: Int) =>
-            if (labels(u) == s && !visited.contains(u)) { visited += u; queue.enqueue(u) }
-          gPrime.outNeighbors(v).foreach(visit)
-          gPrime.inNeighbors(v).foreach(visit)
-        }
+  private def insertByPlaced(h: DiGraph, ins: ValInserter, v: Int, unit: Boolean): Unit = {
+    def collect(ns: IndexedSeq[Int], weight: Int => Double): Seq[(Int, Double)] = {
+      val b = Seq.newBuilder[(Int, Double)]
+      var i = 0
+      while (i < ns.length) {
+        val u = ns(i)
+        if (ins.placed(u)) b += ((u, if (unit) 1.0 else weight(i)))
+        i += 1
       }
+      b.result()
     }
-    ins.result()
+    ins.insert(v,
+      collect(h.inNeighbors(v), h.inWeight(v, _)), collect(h.outNeighbors(v), h.outWeight(v, _)))
   }
 
-  /** Order super-vertices: weighted GetOptVal insertion, BFS candidate
-    * stream from the minimum weighted-in-degree super-vertex.
+  /** Algorithm 1's insertion procedure, the same on every level: a BFS
+    * candidate stream (out-, then in-neighbors) from seeds sorted by
+    * (weighted in-degree, id), each vertex inserted at the position
+    * maximizing the weight of its positive edges to placed neighbors.
+    * Returns the vertices of `h` in order.
     */
-  private def orderSupers(gPrime: DiGraph, labels: Array[Int], numSub: Int): Array[Int] = {
-    if (numSub == 0) return Array.empty
-    if (numSub == 1) return Array(0)
-    // inter-subgraph edge weights w(si -> sj), i != j
-    val w = mutable.HashMap.empty[(Int, Int), Double]
-    gPrime.foreachEdge { (u, v, _) =>
-      val (su, sv) = (labels(u), labels(v))
-      if (su != sv) w.update((su, sv), w.getOrElse((su, sv), 0.0) + 1.0)
-    }
-    val outAdj = Array.fill(numSub)(mutable.ArrayBuffer.empty[(Int, Double)])
-    val inAdj  = Array.fill(numSub)(mutable.ArrayBuffer.empty[(Int, Double)])
-    w.foreach { case ((si, sj), wt) => outAdj(si) += ((sj, wt)); inAdj(sj) += ((si, wt)) }
+  private def greedyOrder(h: DiGraph): Array[Int] = {
+    val n      = h.numVertices
+    val ins    = new ValInserter(n)
+    val wInDeg = Array.tabulate(n)(v => (0 until h.inDegree(v)).map(h.inWeight(v, _)).sum)
+    val visited = new Array[Boolean](n)
+    val queue   = new Array[Int](n) // every vertex is enqueued once
+    var head    = 0; var tail = 0
+    def enqueue(u: Int): Unit = if (!visited(u)) { visited(u) = true; queue(tail) = u; tail += 1 }
 
-    val ins     = new ValInserter(numSub)
-    val visited = mutable.HashSet.empty[Int]
-    val queue   = mutable.Queue.empty[Int]
-    def wInDeg(s: Int): Double = inAdj(s).map(_._2).sum
-    val seeds = (0 until numSub).sortBy(s => (wInDeg(s), s.toDouble))
-
-    seeds.foreach { seed =>
-      if (!visited.contains(seed)) {
-        visited += seed; queue.enqueue(seed)
-        while (queue.nonEmpty) {
-          val sv = queue.dequeue()
-          ins.insert(sv,
-            inAdj(sv).filter(p => ins.placed(p._1)).toSeq,
-            outAdj(sv).filter(p => ins.placed(p._1)).toSeq)
-          val visit = (p: (Int, Double)) =>
-            if (!visited.contains(p._1)) { visited += p._1; queue.enqueue(p._1) }
-          outAdj(sv).foreach(visit)
-          inAdj(sv).foreach(visit)
-        }
+    Array.tabulate(n)(identity).sortBy(v => (wInDeg(v), v)).foreach { seed =>
+      enqueue(seed)
+      while (head < tail) {
+        val v = queue(head); head += 1
+        insertByPlaced(h, ins, v, unit = false)
+        h.outNeighbors(v).foreach(enqueue)
+        h.inNeighbors(v).foreach(enqueue)
       }
     }
     ins.result()

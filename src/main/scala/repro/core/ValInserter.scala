@@ -13,8 +13,9 @@ import scala.collection.mutable
   *   - crossing neighbor u (moving from before-u to after-u):
   *     pe += w_in(u→node) − w_out(node→u).
   * The chosen val is the midpoint of the flanking neighbors' vals
-  * (head: min−STEP, tail: max+STEP). Ties keep the earliest (head-most)
-  * maximum, matching the strict `<` update in the paper's line 18 —
+  * (head: min−STEP, tail: max+STEP, min and max of the placed neighbors'
+  * vals). Ties keep the earliest (head-most) maximum, matching the
+  * strict `<` update in the paper's line 18 —
   * with the head position included so Lemma 2's ≥|E_v|/2 bound holds.
   *
   * Midpoint bisection can exhaust double precision between two adjacent

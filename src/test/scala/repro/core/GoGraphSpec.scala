@@ -3,9 +3,29 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{DiGraph, GraphGen}
 import repro.order._
-import repro.partition.{Fennel, Louvain, MetisLike, RabbitPartition}
+import repro.partition.{Fennel, Louvain, MetisLike, Partitioner, RabbitPartition}
 
 class GoGraphSpec extends AnyFunSuite {
+
+  /** First 8 bytes (hex) of SHA-256 over the order as big-endian Int words. */
+  private def orderHash(order: Array[Int]): String = {
+    val buf = java.nio.ByteBuffer.allocate(4 * order.length)
+    order.foreach(buf.putInt)
+    java.security.MessageDigest.getInstance("SHA-256").digest(buf.array())
+      .take(8).map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  /** Fig 10's "without partition": all of G' is one subgraph. */
+  private object OnePart extends Partitioner {
+    val name = "OnePart"
+    def partition(g: DiGraph, k: Int): Array[Int] = new Array[Int](g.numVertices)
+  }
+
+  /** Every vertex its own subgraph: the combine phase orders all of G'. */
+  private object Singletons extends Partitioner {
+    val name = "Singletons"
+    def partition(g: DiGraph, k: Int): Array[Int] = Array.tabulate(g.numVertices)(identity)
+  }
 
   private val fig2Graph: DiGraph = // paper Fig 2: a=0,b=1,c=2,d=3,e=4
     DiGraph.fromEdges(5, Seq((0, 1, 1.0), (0, 4, 4.0), (1, 4, 1.0), (4, 2, 1.0), (4, 3, 1.0)))
@@ -92,12 +112,41 @@ class GoGraphSpec extends AnyFunSuite {
 
   test("works with every divide-phase partitioner (Fig 13 configs)") {
     val g = GraphGen.datasetSmall("IC")
-    Seq(RabbitPartition, Louvain, MetisLike, Fennel).foreach { p =>
-      val o = new GoGraphReorder(GoGraphConfig(partitioner = p)).order(g)
+    // at targetPartSize 1024 the balanced partitioners get k = 1; at 64 they
+    // split G', so the combine phase orders many super-vertices. OnePart and
+    // Singletons are its two extremes.
+    val configs = Seq(
+      (RabbitPartition, 1024, "ac78491919cf4721"), (Louvain, 1024, "6fc9268403735679"),
+      (MetisLike, 1024, "b5d882de1f062b3b"), (Fennel, 1024, "b5d882de1f062b3b"),
+      (RabbitPartition, 64, "ac78491919cf4721"), (Louvain, 64, "6fc9268403735679"),
+      (MetisLike, 64, "04a05a1ece228e85"), (Fennel, 64, "0e02b52967ffa9fe"),
+      (OnePart, 64, "b5d882de1f062b3b"), (Singletons, 64, "fdf00a7460aaf7f9"),
+    )
+    configs.foreach { case (p, size, hash) =>
+      val o = new GoGraphReorder(GoGraphConfig(partitioner = p, targetPartSize = size)).order(g)
       assert(o.order.sorted.toSeq == (0 until g.numVertices), s"${p.name} broke the permutation")
       val m = Metric.positiveEdges(g, o)
-      assert(m >= g.numEdges / 2.0, s"${p.name}: Theorem 2 violated, M=$m")
+      assert(m >= g.numEdges / 2.0, s"${p.name}/$size: Theorem 2 violated, M=$m")
+      assert(orderHash(o.order) == hash, s"${p.name}/$size: order changed")
     }
+  }
+
+  test("orders are pinned on the six small analogues") {
+    val pinned = Seq(
+      "IC" -> "ac78491919cf4721", "SK" -> "59ea59003c308b69", "GL" -> "fc87075966cbdbab",
+      "WK" -> "469907dc1be2a0fe", "CP" -> "a5ccf1351d18c3c9", "LJ" -> "4fbb0c6627e9d584",
+    )
+    pinned.foreach { case (name, hash) =>
+      val o = GoGraph.order(GraphGen.datasetSmall(name))
+      assert(orderHash(o.order) == hash, s"$name: order changed")
+    }
+  }
+
+  test("order and M are pinned on the full CP analogue") {
+    val g = GraphGen.dataset("CP")
+    val o = GoGraph.order(g)
+    assert(Metric.positiveEdges(g, o) == 216292L)
+    assert(orderHash(o.order) == "55dc03754dfc4984")
   }
 
   test("hdFraction=1 (everything high-degree) still yields a valid order") {
